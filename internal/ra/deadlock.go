@@ -1,5 +1,7 @@
 package ra
 
+import "paramra/internal/engine"
+
 // DeadlockReport describes blocking states of a fixed instance: reachable
 // configurations from which no transition is enabled although some thread
 // has not finished its program (it is stuck in an assume that can never
@@ -39,43 +41,47 @@ func (inst *Instance) FindDeadlocks(lim Limits) DeadlockReport {
 		return len(info.CFG.Out[s.Threads[ti].PC]) == 0
 	}
 
+	enc := engine.NewKeyEnc()
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		succs := inst.Successors(s)
-		if len(succs) == 0 {
-			var stuck []string
-			for ti := range s.Threads {
-				if !atExit(s, ti) {
-					stuck = append(stuck, inst.Threads[ti].Name)
-				}
+		enabled := 0
+		inst.visit(s, func(ns *State, ev evRef) bool {
+			enabled++
+			if ev.assert {
+				return true
 			}
-			if len(stuck) > 0 {
-				rep.Deadlocks++
-				if rep.Example == "" {
-					rep.Example = s.String()
-					rep.StuckThreads = stuck
-				}
-			} else {
-				rep.Terminal++
-			}
-			continue
-		}
-		for _, succ := range succs {
-			if succ.Event.Assert {
-				continue
-			}
-			k := succ.State.Key()
-			if visited[k] {
-				continue
+			enc.Reset()
+			ns.appendKey(enc)
+			if visited[string(enc.Bytes())] {
+				return true
 			}
 			if lim.MaxStates > 0 && states >= lim.MaxStates {
 				rep.Complete = false
-				continue
+				return true
 			}
-			visited[k] = true
+			visited[enc.String()] = true
 			states++
-			queue = append(queue, succ.State)
+			queue = append(queue, ns.Clone())
+			return true
+		})
+		if enabled > 0 {
+			continue
+		}
+		var stuck []string
+		for ti := range s.Threads {
+			if !atExit(s, ti) {
+				stuck = append(stuck, inst.Threads[ti].Name)
+			}
+		}
+		if len(stuck) > 0 {
+			rep.Deadlocks++
+			if rep.Example == "" {
+				rep.Example = s.String()
+				rep.StuckThreads = stuck
+			}
+		} else {
+			rep.Terminal++
 		}
 	}
 	return rep

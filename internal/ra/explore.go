@@ -71,69 +71,70 @@ func (inst *Instance) Explore(lim Limits) Result {
 	}
 	init := inst.InitState()
 	initKey := inst.stateKey(init, lim)
-	visited := map[string]bool{initKey: true}
-	// pred maps a state key to its predecessor key and incoming event, for
-	// witness reconstruction.
-	type backEdge struct {
-		prevKey string
-		ev      Event
-	}
-	pred := map[string]backEdge{}
+	// pred maps every visited state's key to its predecessor key and
+	// incoming event, for witness reconstruction.
+	pred := map[string]backEdge{initKey: {}}
 
 	queue := []node{{state: init, key: initKey, depth: 0}}
 	res := Result{States: 1}
 	limited := false
+	enc := engine.NewKeyEnc()
 
-	buildWitness := func(lastKey string, final Event) []Event {
-		var rev []Event
-		rev = append(rev, final)
-		k := lastKey
-		for k != initKey {
-			be, ok := pred[k]
-			if !ok {
-				break
-			}
-			rev = append(rev, be.ev)
-			k = be.prevKey
-		}
-		out := make([]Event, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			out = append(out, rev[i])
-		}
-		return out
-	}
-
-	for len(queue) > 0 {
+	for len(queue) > 0 && !res.Unsafe {
 		n := queue[0]
 		queue = queue[1:]
 		if lim.MaxDepth > 0 && n.depth >= lim.MaxDepth {
 			limited = true
 			continue
 		}
-		key := n.key
-		for _, succ := range inst.Successors(n.state) {
+		inst.visit(n.state, func(ns *State, ev evRef) bool {
 			res.Transitions++
-			if succ.Event.Assert {
+			if ev.assert {
 				res.Unsafe = true
-				res.Witness = buildWitness(key, succ.Event)
-				return res
+				res.Witness = inst.witness(n.key, initKey, ev, func(k string) (backEdge, bool) {
+					be, ok := pred[k]
+					return be, ok
+				})
+				return false
 			}
-			sk := inst.stateKey(succ.State, lim)
-			if visited[sk] {
-				continue
+			enc.Reset()
+			inst.appendStateKey(enc, ns, lim)
+			if _, seen := pred[string(enc.Bytes())]; seen {
+				return true
 			}
 			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
 				limited = true
-				continue
+				return true
 			}
-			visited[sk] = true
-			pred[sk] = backEdge{prevKey: key, ev: succ.Event}
+			sk := enc.String()
+			pred[sk] = backEdge{prevKey: n.key, ev: ev}
 			res.States++
-			queue = append(queue, node{state: succ.State, key: sk, depth: n.depth + 1})
-		}
+			queue = append(queue, node{state: ns.Clone(), key: sk, depth: n.depth + 1})
+			return true
+		})
 	}
-	res.Complete = !limited
+	res.Complete = !limited && !res.Unsafe
 	return res
+}
+
+// witness rebuilds the violating computation that ends with the assert
+// event final fired from the state keyed lastKey, by walking the
+// back-edges (looked up with get) to the initial state.
+func (inst *Instance) witness(lastKey, initKey string, final evRef, get func(string) (backEdge, bool)) []Event {
+	rev := []evRef{final}
+	for k := lastKey; k != initKey; {
+		be, ok := get(k)
+		if !ok {
+			break
+		}
+		rev = append(rev, be.ev)
+		k = be.prevKey
+	}
+	out := make([]Event, 0, len(rev))
+	for i := len(rev) - 1; i >= 0; i-- {
+		out = append(out, inst.event(rev[i]))
+	}
+	return out
 }
 
 // ReachablePCs explores the instance and returns, per thread index, the set
@@ -156,23 +157,26 @@ func (inst *Instance) ReachablePCs(lim Limits) ([]map[int]bool, bool) {
 	queue := []*State{init}
 	states := 1
 	complete := true
+	enc := engine.NewKeyEnc()
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for _, succ := range inst.Successors(s) {
-			k := succ.State.Key()
-			if visited[k] {
-				continue
+		inst.visit(s, func(ns *State, _ evRef) bool {
+			enc.Reset()
+			ns.appendKey(enc)
+			if visited[string(enc.Bytes())] {
+				return true
 			}
 			if lim.MaxStates > 0 && states >= lim.MaxStates {
 				complete = false
-				continue
+				return true
 			}
-			visited[k] = true
+			visited[enc.String()] = true
 			states++
-			record(succ.State)
-			queue = append(queue, succ.State)
-		}
+			record(ns)
+			queue = append(queue, ns.Clone())
+			return true
+		})
 	}
 	return reach, complete
 }

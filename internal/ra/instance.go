@@ -28,9 +28,13 @@ type ThreadInfo struct {
 
 // Instance is a fixed instantiation of a parameterized system: nEnv copies
 // of the env program plus all dis programs, with compiled CFGs.
+// Build one with NewInstance.
 type Instance struct {
 	Sys     *lang.System
 	Threads []ThreadInfo
+	// numEnv counts the EnvThread entries of Threads; symmetric keys read
+	// it on every successor.
+	numEnv int
 }
 
 // NewInstance builds the instance of sys with nEnv environment threads.
@@ -56,6 +60,7 @@ func NewInstance(sys *lang.System, nEnv int) (*Instance, error) {
 			DisIndex: i, CFG: envCFG,
 		})
 	}
+	inst.numEnv = nEnv
 	for i, d := range sys.Dis {
 		inst.Threads = append(inst.Threads, ThreadInfo{
 			Kind: DisThread, Name: d.Name, DisIndex: i, CFG: lang.Compile(d),
@@ -65,21 +70,13 @@ func NewInstance(sys *lang.System, nEnv int) (*Instance, error) {
 }
 
 // NumEnv returns the number of env replicas in the instance.
-func (inst *Instance) NumEnv() int {
-	n := 0
-	for _, ti := range inst.Threads {
-		if ti.Kind == EnvThread {
-			n++
-		}
-	}
-	return n
-}
+func (inst *Instance) NumEnv() int { return inst.numEnv }
 
 // stateKey returns the visited-set key for s, canonicalizing env-replica
 // order when symmetry reduction is enabled.
 func (inst *Instance) stateKey(s *State, lim Limits) string {
 	if lim.Symmetry {
-		return s.SymKey(inst.NumEnv())
+		return s.SymKey(inst.numEnv)
 	}
 	return s.Key()
 }
@@ -88,7 +85,7 @@ func (inst *Instance) stateKey(s *State, lim Limits) string {
 // paths that avoid interning keys of already-visited successors.
 func (inst *Instance) appendStateKey(enc *engine.KeyEnc, s *State, lim Limits) {
 	if lim.Symmetry {
-		s.appendSymKey(enc, inst.NumEnv())
+		s.appendSymKey(enc, inst.numEnv)
 		return
 	}
 	s.appendKey(enc)

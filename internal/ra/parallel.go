@@ -11,7 +11,7 @@ import (
 // incoming event — enough to reconstruct a witness by chain walking.
 type backEdge struct {
 	prevKey string
-	ev      Event
+	ev      evRef
 }
 
 // ExploreContext runs the safety search of Explore on the free-order
@@ -27,29 +27,29 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	visited := engine.NewShardedMap[backEdge]()
 
 	expand := func(s *State, key string, depth int, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
-		succs := inst.Successors(s)
 		out := buf
 		enc := engine.GetKeyEnc()
-		for _, succ := range succs {
-			if succ.Event.Assert {
-				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: succ.Event})
-				break
+		inst.visit(s, func(ns *State, ev evRef) bool {
+			if ev.assert {
+				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: ev})
+				return false
 			}
-			// Byte-probe the visited set before interning: duplicate
-			// successors (the common case) cost no allocation, and the
-			// grow-only set makes the positive answer stable.
+			// Probe the visited set with the scratch successor's key bytes:
+			// a duplicate (the common case) is never copied or interned,
+			// and the grow-only set makes the positive answer stable.
 			enc.Reset()
-			inst.appendStateKey(enc, succ.State, lim)
+			inst.appendStateKey(enc, ns, lim)
 			if visited.HasBytes(enc.Bytes()) {
 				out = append(out, engine.Succ[*State, backEdge]{Dedup: true})
-				continue
+				return true
 			}
 			out = append(out, engine.Succ[*State, backEdge]{
-				State: succ.State,
+				State: ns.Clone(),
 				Key:   enc.String(),
-				Val:   backEdge{prevKey: key, ev: succ.Event},
+				Val:   backEdge{prevKey: key, ev: ev},
 			})
-		}
+			return true
+		})
 		engine.PutKeyEnc(enc)
 		return out
 	}
@@ -73,20 +73,8 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 		Err:         out.Err,
 	}
 	if out.Halted {
-		final, _ := out.HaltTag.(Event)
-		rev := []Event{final}
-		for k := out.HaltParent; k != initKey; {
-			be, ok := visited.Get(k)
-			if !ok {
-				break
-			}
-			rev = append(rev, be.ev)
-			k = be.prevKey
-		}
-		res.Witness = make([]Event, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			res.Witness = append(res.Witness, rev[i])
-		}
+		final, _ := out.HaltTag.(evRef)
+		res.Witness = inst.witness(out.HaltParent, initKey, final, visited.Get)
 	}
 	return res
 }
@@ -117,48 +105,50 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 	visited := engine.NewShardedMap[struct{}]()
 
 	expand := func(s *State, key string, depth int, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
-		succs := inst.Successors(s)
-		if len(succs) == 0 {
-			var stuck []string
-			for ti := range s.Threads {
-				if !atExit(s, ti) {
-					stuck = append(stuck, inst.Threads[ti].Name)
-				}
-			}
-			mu.Lock()
-			if len(stuck) > 0 {
-				rep.Deadlocks++
-				if exampleKey == "" || key < exampleKey {
-					exampleKey = key
-					rep.Example = s.String()
-					rep.StuckThreads = stuck
-				}
-			} else {
-				rep.Terminal++
-			}
-			mu.Unlock()
-			return buf
-		}
 		out := buf
+		enabled := 0
 		enc := engine.GetKeyEnc()
-		for _, succ := range succs {
+		inst.visit(s, func(ns *State, ev evRef) bool {
+			enabled++
 			// Assert transitions terminate their branch without counting as
 			// deadlocks (safety is Explore's job).
-			if succ.Event.Assert {
-				continue
+			if ev.assert {
+				return true
 			}
 			enc.Reset()
-			succ.State.appendKey(enc)
+			ns.appendKey(enc)
 			if visited.HasBytes(enc.Bytes()) {
 				out = append(out, engine.Succ[*State, struct{}]{Dedup: true})
-				continue
+				return true
 			}
 			out = append(out, engine.Succ[*State, struct{}]{
-				State: succ.State,
+				State: ns.Clone(),
 				Key:   enc.String(),
 			})
-		}
+			return true
+		})
 		engine.PutKeyEnc(enc)
+		if enabled > 0 {
+			return out
+		}
+		var stuck []string
+		for ti := range s.Threads {
+			if !atExit(s, ti) {
+				stuck = append(stuck, inst.Threads[ti].Name)
+			}
+		}
+		mu.Lock()
+		if len(stuck) > 0 {
+			rep.Deadlocks++
+			if exampleKey == "" || key < exampleKey {
+				exampleKey = key
+				rep.Example = s.String()
+				rep.StuckThreads = stuck
+			}
+		} else {
+			rep.Terminal++
+		}
+		mu.Unlock()
 		return out
 	}
 

@@ -1,8 +1,8 @@
 package ra
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"paramra/internal/engine"
@@ -37,25 +37,65 @@ type State struct {
 	Threads []Thread
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state into flat storage: all message and thread
+// views share one []int, all messages one []Msg and all registers one
+// []lang.Val, so a copy costs a handful of allocations however many
+// messages it holds.
 func (s *State) Clone() *State {
+	nmsg, nview, nreg := s.flatSize()
 	out := &State{
 		Mem:     make([][]Msg, len(s.Mem)),
 		Threads: make([]Thread, len(s.Threads)),
 	}
-	for v, list := range s.Mem {
-		nl := make([]Msg, len(list))
-		for i, m := range list {
-			nl[i] = Msg{Val: m.Val, View: m.View.Clone(), Sealed: m.Sealed}
-		}
-		out.Mem[v] = nl
-	}
-	for i, th := range s.Threads {
-		regs := make([]lang.Val, len(th.Regs))
-		copy(regs, th.Regs)
-		out.Threads[i] = Thread{PC: th.PC, Regs: regs, View: th.View.Clone()}
-	}
+	copyFlat(out, s, make([]Msg, nmsg), make([]int, nview), make([]lang.Val, nreg), 0)
 	return out
+}
+
+// flatSize counts the messages, view entries and registers of s.
+func (s *State) flatSize() (nmsg, nview, nreg int) {
+	for _, list := range s.Mem {
+		nmsg += len(list)
+		for _, m := range list {
+			nview += len(m.View)
+		}
+	}
+	for _, th := range s.Threads {
+		nreg += len(th.Regs)
+		nview += len(th.View)
+	}
+	return nmsg, nview, nreg
+}
+
+// copyFlat lays src out in dst over the arenas msgs, views and regs, which
+// must be at least src.flatSize() long, with spare extra message slots per
+// variable; dst.Mem and dst.Threads must already have src's lengths. Each
+// variable's list is capped at its length plus spare, so State.insert
+// appends into the list's own slots (or reallocates it) and never overwrites
+// the next variable's messages. It returns the unused tail of views.
+func copyFlat(dst, src *State, msgs []Msg, views []int, regs []lang.Val, spare int) []int {
+	view := func(v View) View {
+		n := copy(views, v)
+		c := views[:n:n]
+		views = views[n:]
+		return c
+	}
+	for v, list := range src.Mem {
+		n := len(list)
+		nl := msgs[: n : n+spare]
+		msgs = msgs[n+spare:]
+		for i, m := range list {
+			nl[i] = Msg{Val: m.Val, View: view(m.View), Sealed: m.Sealed}
+		}
+		dst.Mem[v] = nl
+	}
+	for i, th := range src.Threads {
+		n := len(th.Regs)
+		r := regs[:n:n]
+		regs = regs[n:]
+		copy(r, th.Regs)
+		dst.Threads[i] = Thread{PC: th.PC, Regs: r, View: view(th.View)}
+	}
+	return views
 }
 
 // Key returns a canonical encoding of the state, used for visited-set
@@ -93,20 +133,36 @@ func (s *State) SymKey(nEnv int) string {
 }
 
 // appendSymKey is appendKey under env-replica symmetry canonicalization.
+// The env sections are encoded back to back into one pooled encoder and
+// emitted in bytes.Compare order — the byte order sort.Strings would give
+// the sections as strings — so the key equals the string-sorting encoding
+// without materializing a string per replica.
 func (s *State) appendSymKey(enc *engine.KeyEnc, nEnv int) {
 	s.encodeMemKey(enc)
-	envKeys := make([]string, 0, nEnv)
+	if nEnv > len(s.Threads) {
+		nEnv = len(s.Threads)
+	}
+	var offBuf, idxBuf [16]int
+	off, idx := offBuf[:0], idxBuf[:0]
 	tenc := engine.GetKeyEnc()
-	for i := 0; i < nEnv && i < len(s.Threads); i++ {
-		tenc.Reset()
+	for i := 0; i < nEnv; i++ {
+		off = append(off, len(tenc.Bytes()))
 		s.encodeThreadKey(tenc, i)
-		envKeys = append(envKeys, tenc.String())
+		idx = append(idx, i)
+	}
+	off = append(off, len(tenc.Bytes()))
+	buf := tenc.Bytes()
+	section := func(i int) []byte { return buf[off[i]:off[i+1]] }
+	// Insertion sort: replica counts are small and mostly presorted.
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && bytes.Compare(section(idx[j]), section(idx[j-1])) < 0; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	for _, i := range idx {
+		enc.Raw(section(i))
 	}
 	engine.PutKeyEnc(tenc)
-	sort.Strings(envKeys)
-	for _, k := range envKeys {
-		enc.Raw([]byte(k))
-	}
 	for i := nEnv; i < len(s.Threads); i++ {
 		s.encodeThreadKey(enc, i)
 	}
