@@ -5,6 +5,7 @@
 package paramra_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -302,6 +303,25 @@ func BenchmarkCorpusVerify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkVerifyDefault measures Verify as raverify runs it by default
+// (prepass on), on one worker. barrier is the corpus entry whose prepass
+// replay used to dominate the default pipeline: its bounded prepass
+// schedule stops after a capped replay round and a bounded fixpoint. The
+// CI allocation gate (scripts/bench-allocs.sh) holds its allocs/op.
+func BenchmarkVerifyDefault(b *testing.B) {
+	e, _ := bench.ByName("barrier")
+	b.Run(e.Name, func(b *testing.B) {
+		sys := e.System()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := paramra.Verify(context.Background(), sys, paramra.Options{Prepass: true, Parallelism: 1})
+			if err != nil || res.Unsafe || !res.Complete {
+				b.Fatalf("barrier: unsafe=%v complete=%v err=%v", res.Unsafe, res.Complete, err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationNoAbstraction compares against the no-abstraction

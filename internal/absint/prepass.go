@@ -55,8 +55,12 @@ type Options struct {
 	// MaxReplayEnv caps the env replica counts tried by the replay
 	// (default 4).
 	MaxReplayEnv int
-	// Workers is the replay parallelism (default 1; the engine's verdict is
-	// identical for every value).
+	// Workers is the replay parallelism (default 1). An instance explored
+	// to exhaustion gives the same answer and state count for every value.
+	// An instance that reaches the assert or hits MaxReplayStates stops at
+	// a point that depends on the workers' schedule, so with more than one
+	// worker its witness and state count can vary, and a capped instance
+	// can miss a violation that another run finds.
 	Workers int
 }
 
@@ -99,9 +103,34 @@ type Outcome struct {
 // replay under the full RA semantics confirms it (so an UNSAFE answer is a
 // real witness by construction). Everything else is Inconclusive.
 //
-// The only error returned is the context's, when cancellation interrupts a
-// replay before a verdict.
+// Prepass is Plan followed by one replay ladder at MaxReplayStates states
+// per rung. The only error returned is the context's, when cancellation
+// interrupts a replay before a verdict.
 func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, error) {
+	out, rep := Plan(sys, opts)
+	if rep == nil {
+		return out, nil
+	}
+	out, _, err := rep.Run(ctx, rep.Ladder(rep.MaxStates))
+	return out, err
+}
+
+// Replay is the prepass's concrete stage: the replay ladder that can
+// confirm a candidate path found by the abstract stage.
+type Replay struct {
+	sys     *lang.System
+	opts    Options
+	planned Outcome // the abstract stage's outcome, which Run completes
+	// minN and maxN bound the env-thread counts replayed.
+	minN, maxN int
+	// MaxStates is the per-rung cap Prepass uses (Options.MaxReplayStates).
+	MaxStates int
+}
+
+// Plan runs the prepass's abstract stage. When it finds a loop-free
+// constant-folded path to an assert it returns the replay that can confirm
+// it; otherwise the replay is nil and the outcome is final.
+func Plan(sys *lang.System, opts Options) (Outcome, *Replay) {
 	opts = opts.withDefaults()
 	res := Analyze(sys)
 	out := Outcome{Verdict: Inconclusive, Analysis: res}
@@ -134,45 +163,60 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 	// Any violation found is definitive. Start at one replica when only the
 	// env template has a candidate (its asserts need an instance containing
 	// an env thread).
-	minN := 1
+	rep := &Replay{sys: sys, opts: opts, planned: out, minN: 1, maxN: opts.MaxReplayEnv, MaxStates: opts.MaxReplayStates}
 	for _, c := range cands {
 		if !c.EnvThread {
-			minN = 0
+			rep.minN = 0
 			break
 		}
 	}
-	maxN := opts.MaxReplayEnv
 	if sys.Env == nil {
-		maxN = 0
+		rep.maxN = 0
 	}
-	for n := minN; n <= maxN; n++ {
-		inst, err := ra.NewInstance(sys, n)
-		if err != nil {
-			// Validation failures are not the prepass's to report; let the
-			// main pipeline surface them.
-			out.Reason = "replay unavailable: " + err.Error()
-			return out, nil
-		}
-		r := inst.ExploreContext(ctx, ra.Limits{
-			MaxStates: opts.MaxReplayStates,
-			Workers:   opts.Workers,
-			Symmetry:  n > 1,
-		})
-		out.ReplayStates += r.States
-		if r.Unsafe {
-			out.Verdict = Unsafe
-			out.EnvThreads = n
-			out.Witness = ra.FormatWitness(r.Witness)
-			out.Reason = fmt.Sprintf("concrete replay with %d env thread(s) reaches the assert (%d states)",
-				n, r.States)
-			return out, nil
-		}
-		if r.Err != nil {
-			out.Reason = "replay interrupted: " + r.Err.Error()
-			return out, r.Err
-		}
+	return out, rep
+}
+
+// Ladder returns the replay ladder over the candidate's rungs, each capped
+// at maxStates.
+func (r *Replay) Ladder(maxStates int) ra.Ladder {
+	return ra.Ladder{
+		MinN:      r.minN,
+		MaxN:      r.maxN,
+		MaxStates: maxStates,
+		Symmetry:  true,
+		Workers:   r.opts.Workers,
 	}
-	out.Reason = fmt.Sprintf("candidate path found, but no replay instance within %d env thread(s) and %d states confirms",
-		maxN, opts.MaxReplayStates)
-	return out, nil
+}
+
+// Run runs l, a ladder from r.Ladder, and completes the outcome Plan
+// returned. The ladder result is returned alongside, so a caller can tell
+// whether a cap shaped the answer. Run may be called again with another
+// ladder; each call starts from Plan's outcome. The error is the
+// context's, when cancellation interrupted a rung.
+func (r *Replay) Run(ctx context.Context, l ra.Ladder) (Outcome, ra.LadderResult, error) {
+	out := r.planned
+	lr, err := l.Run(ctx, r.sys)
+	out.ReplayStates = lr.States()
+	switch {
+	case err != nil:
+		// Validation failures are not the prepass's to report; let the
+		// main pipeline surface them.
+		out.Reason = "replay unavailable: " + err.Error()
+	case lr.Unsafe:
+		out.Verdict = Unsafe
+		out.EnvThreads = lr.N
+		out.Witness = ra.FormatWitness(lr.Witness)
+		out.Reason = fmt.Sprintf("concrete replay with %d env thread(s) reaches the assert (%d states)",
+			lr.N, lr.Rungs[len(lr.Rungs)-1].States)
+	case lr.Err != nil:
+		out.Reason = "replay interrupted: " + lr.Err.Error()
+		return out, lr, lr.Err
+	case !lr.Capped():
+		out.Reason = fmt.Sprintf("candidate path found, but exhaustive replay of every instance with %d to %d env thread(s) (%d states) reaches no assert",
+			r.minN, r.maxN, out.ReplayStates)
+	default:
+		out.Reason = fmt.Sprintf("candidate path found, but no replay instance within %d env thread(s) and %d states confirms",
+			r.maxN, l.MaxStates)
+	}
+	return out, lr, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -101,18 +102,15 @@ func ClassTable() *Table {
 // concrete instance is unsafe, up to maxN (E9 helper). Returns -1 when none
 // is found.
 func MinEnvConcrete(sys *lang.System, maxN, maxStates int) (int, error) {
-	for n := 0; n <= maxN; n++ {
-		inst, err := ra.NewInstance(sys, n)
-		if err != nil {
-			return -1, err
-		}
-		res := inst.Explore(ra.Limits{MaxStates: maxStates, Symmetry: true})
-		if res.Unsafe {
-			return n, nil
-		}
-		if !res.Complete {
-			return -1, fmt.Errorf("exploration incomplete at n=%d", n)
-		}
+	lr, err := ra.Ladder{MinN: 0, MaxN: maxN, MaxStates: maxStates, Symmetry: true, Workers: 1, StopAtCap: true}.
+		Run(context.Background(), sys)
+	switch {
+	case err != nil:
+		return -1, err
+	case lr.Unsafe:
+		return lr.N, nil
+	case lr.Capped():
+		return -1, fmt.Errorf("exploration incomplete at n=%d", lr.Rungs[len(lr.Rungs)-1].N)
 	}
 	return -1, nil
 }

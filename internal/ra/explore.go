@@ -51,6 +51,10 @@ type Result struct {
 	// false and Unsafe is false, the verdict is only "no violation found
 	// within limits".
 	Complete bool
+	// Capped is true when MaxStates or MaxDepth pruned the search. A search
+	// that was not capped visits what it would visit under larger limits:
+	// exactly, on one worker; the same state set, when it is exhaustive.
+	Capped bool
 	// Witness is a violating computation (sequence of events from the
 	// initial state), non-nil iff Unsafe.
 	Witness []Event
@@ -114,6 +118,7 @@ func (inst *Instance) Explore(lim Limits) Result {
 		})
 	}
 	res.Complete = !limited && !res.Unsafe
+	res.Capped = limited
 	return res
 }
 

@@ -69,6 +69,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 		States:      int(out.Stats.States),
 		Transitions: int(out.Stats.Transitions),
 		Complete:    out.Complete,
+		Capped:      out.Capped,
 		Engine:      out.Stats,
 		Err:         out.Err,
 	}

@@ -387,6 +387,13 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		{"raserved_responses_4xx_total", 1},
 		{"raserved_verdict_safe_total", 1},
 		{"raserved_verdict_unsafe_total", 1},
+		// The library's per-decider counters: sysUnsafe is decided by the
+		// prepass replay, sysSafe by the prepass schedule's bounded
+		// fixpoint; the other two are registered at zero.
+		{"paramra_verify_decided_prepass_total", 1},
+		{"paramra_verify_decided_fixpoint_total", 1},
+		{"paramra_verify_decided_cache_total", 0},
+		{"paramra_verify_decided_datalog_total", 0},
 	}
 	for _, c := range checks {
 		f := fams[c.family]

@@ -290,6 +290,7 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 
 	if unsafeRes != nil {
 		res := *unsafeRes
+		res.Capped = out.Capped
 		res.Stats.MacroStates = int(out.Stats.States)
 		res.Engine = out.Stats
 		res.Engine.Transitions = int64(res.Stats.DisTransitions)
@@ -298,6 +299,7 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 	res := Result{
 		Unsafe:   false,
 		Complete: out.Complete,
+		Capped:   out.Capped,
 		Stats:    global.stats,
 		Err:      out.Err,
 	}

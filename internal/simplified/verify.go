@@ -121,7 +121,11 @@ type Result struct {
 	// is generatable).
 	Unsafe bool
 	// Complete is true when the search exhausted the macro-state space.
-	Complete  bool
+	Complete bool
+	// Capped is true when MaxMacroStates pruned the search (VerifyContext
+	// only). A run that was not capped is identical to one under any larger
+	// cap: the layered search admits states in a fixed order.
+	Capped    bool
 	Stats     Stats
 	Violation *Violation
 	// Engine carries the engine-level counters (dedup hits, peak frontier,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -234,6 +235,76 @@ func TestTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace differs from %s\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// TestTracePrepassSchedule pins the prepass schedule's spans on a
+// one-worker, prepass-on Verify of barrier: one replay-rung span per rung
+// of the capped round, carrying its n, cap, states, complete and unsafe
+// attributes, up to rung 3, the first the cap prunes; then the
+// bounded-fixpoint span, whose fixpoint run is traced as the main pipeline
+// traces one.
+func TestTracePrepassSchedule(t *testing.T) {
+	var sys *paramra.System
+	for _, e := range bench.Corpus() {
+		if e.Name == "barrier" {
+			sys = e.System()
+		}
+	}
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	res, err := paramra.Verify(context.Background(), sys, paramra.Options{Prepass: true, Parallelism: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Unsafe || res.DecidedBy != "fixpoint" {
+		t.Fatalf("barrier: unsafe=%v decidedBy=%s, want SAFE by the fixpoint", res.Unsafe, res.DecidedBy)
+	}
+	spans, err := obs.ParseTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int64]obs.SpanRecord{}
+	var got []string
+	for _, s := range spans {
+		byID[s.ID] = s
+		path := s.Name
+		for p := s.Parent; p != 0; p = byID[p].Parent {
+			path = byID[p].Name + "/" + path
+		}
+		if !strings.HasPrefix(path, "verify/prepass/") {
+			continue
+		}
+		if s.Name == "replay-rung" {
+			for _, a := range []string{"n", "cap", "states", "complete", "unsafe"} {
+				if _, ok := s.Attrs[a]; !ok {
+					t.Errorf("replay-rung span %d lacks attribute %q: %v", s.ID, a, s.Attrs)
+				}
+			}
+			path += fmt.Sprintf(" n=%v cap=%v", s.Attrs["n"], s.Attrs["cap"])
+		}
+		if strings.Count(path, "/") <= 3 {
+			got = append(got, path)
+		}
+	}
+	want := []string{
+		"verify/prepass/replay-rung n=0 cap=512",
+		"verify/prepass/replay-rung/concrete-explore",
+		"verify/prepass/replay-rung n=1 cap=512",
+		"verify/prepass/replay-rung/concrete-explore",
+		"verify/prepass/replay-rung n=2 cap=512",
+		"verify/prepass/replay-rung/concrete-explore",
+		"verify/prepass/replay-rung n=3 cap=512",
+		"verify/prepass/replay-rung/concrete-explore",
+		"verify/prepass/bounded-fixpoint",
+		"verify/prepass/bounded-fixpoint/well-formedness",
+		"verify/prepass/bounded-fixpoint/fixpoint",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("prepass spans:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

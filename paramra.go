@@ -147,7 +147,10 @@ type Options struct {
 	// decisive, skipping the state-space search entirely. Sound on both
 	// sides: SAFE proofs hold for every replica count (including systems
 	// outside the decidable fragment), UNSAFE witnesses are concrete
-	// replays. See Prepass for the standalone entry point.
+	// replays. Verify replays in a bounded schedule that may run a capped
+	// fixpoint before the full replay; every answer equals that of the
+	// full replay followed by the fixpoint (DESIGN.md "Prepass schedule").
+	// See Prepass for the standalone entry point.
 	Prepass bool
 	// DatalogHints grounds the Datalog encoding with abstract-value register
 	// hints even when Prepass is off — the fuzz oracle uses it to exercise
@@ -412,6 +415,7 @@ type Result struct {
 func Verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 	opts = opts.normalized()
 	res, err := verifyCached(ctx, sys, opts)
+	countDecision(opts.metrics(ctx), res, err)
 	// The terminal Progress emission is exactly the returned Stats, for
 	// every backend and on every path (including errors).
 	if opts.Progress != nil {
@@ -420,18 +424,68 @@ func Verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 	return res, err
 }
 
+// deciders are the layers a Verify verdict can come from, each with its
+// counter.
+var deciders = [...]struct{ by, counter string }{
+	{"cache", "paramra_verify_decided_cache_total"},
+	{"prepass", "paramra_verify_decided_prepass_total"},
+	{"fixpoint", "paramra_verify_decided_fixpoint_total"},
+	{"datalog", "paramra_verify_decided_datalog_total"},
+}
+
+// countDecision books a complete, error-free Verify result to the layer
+// that produced it: the cache for hits, else Result.DecidedBy. Every
+// counter is registered on each call, so /metrics lists all of them.
+func countDecision(m *obs.Registry, res Result, err error) {
+	if m == nil {
+		return
+	}
+	by := res.DecidedBy
+	if res.CacheHit {
+		by = "cache"
+	}
+	for _, d := range deciders {
+		c := m.Counter(d.counter, "complete Verify verdicts produced by the layer the name gives")
+		if d.by == by && err == nil && res.Complete {
+			c.Inc()
+		}
+	}
+}
+
+// fixpointOptions wires the simplified-semantics fixpoint into a run: the
+// macro-state cap, the goal, and the run's workers, progress, span and
+// metrics.
+func fixpointOptions(ctx context.Context, opts Options, span *obs.Span, maxMacro int, goal *simplified.Goal) simplified.Options {
+	return simplified.Options{
+		MaxMacroStates: maxMacro,
+		Goal:           goal,
+		Workers:        opts.Parallelism,
+		Progress:       fixpointProgress(opts.Progress),
+		Trace:          span,
+		Metrics:        opts.metrics(ctx),
+	}
+}
+
 func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
+	return verifyScheduled(ctx, sys, opts, prepassRoundStates, prepassFixpointStates)
+}
+
+// verifyScheduled is verify with the prepass schedule's two caps as
+// parameters (see prepassSchedule), so tests can drive every exit.
+func verifyScheduled(ctx context.Context, sys *System, opts Options, roundStates, fixpointStates int) (Result, error) {
 	span := opts.beginSpan(ctx, "verify")
 	defer span.End()
 
 	res := Result{EnvThreadBound: -1}
+	var fix *simplified.Result // a fixpoint result the prepass schedule already computed
 	if opts.Prepass {
 		// The prepass runs on the original system, before any unrolling, so
 		// a SAFE proof covers the true semantics rather than the bounded
 		// under-approximation.
 		pspan := span.Child("prepass")
-		out, err := prepass(ctx, sys, opts, pspan)
+		out, f, err := prepassSchedule(ctx, sys, opts, pspan, roundStates, fixpointStates)
 		pspan.End()
+		fix = f
 		if err != nil {
 			res.Class = lang.Classify(sys)
 			return res, err
@@ -498,18 +552,16 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		}
 		goal = &simplified.Goal{Var: v, Val: lang.Val(opts.Goal.Val)}
 	}
-	ver, err := simplified.New(work, simplified.Options{
-		MaxMacroStates: opts.MaxMacroStates,
-		Goal:           goal,
-		Workers:        opts.Parallelism,
-		Progress:       fixpointProgress(opts.Progress),
-		Trace:          span,
-		Metrics:        opts.metrics(ctx),
-	})
-	if err != nil {
-		return res, err
+	var out simplified.Result
+	if fix != nil {
+		out = *fix
+	} else {
+		ver, err := simplified.New(work, fixpointOptions(ctx, opts, span, opts.MaxMacroStates, goal))
+		if err != nil {
+			return res, err
+		}
+		out = ver.VerifyContext(ctx)
 	}
-	out := ver.VerifyContext(ctx)
 	res.Unsafe = out.Unsafe
 	res.Complete = out.Complete
 	res.Stats = Stats{
@@ -790,33 +842,33 @@ func ConfirmViolation(ctx context.Context, sys *System, res Result, maxN int, op
 	if span != nil {
 		span.SetAttr("env_thread_bound", hi)
 	}
-	limitHit := false
-	for n := 0; n <= int(hi); n++ {
-		inst, err := ra.NewInstance(sys, n)
-		if err != nil {
-			return 0, "", err
-		}
-		out := inst.ExploreContext(ctx, ra.Limits{
-			MaxStates: opts.MaxStates,
-			Workers:   opts.Parallelism,
-			Progress:  concreteProgress(opts.Progress),
-			Trace:     span,
-			Metrics:   opts.metrics(ctx),
-		})
-		if out.Unsafe {
-			if span != nil {
-				span.SetAttr("confirmed_env_threads", n)
-			}
-			return n, ra.FormatWitness(out.Witness), nil
-		}
-		if out.Err != nil {
-			return 0, "", &ConfirmError{BoundTried: hi, StateCapHit: limitHit, Err: out.Err}
-		}
-		if !out.Complete {
-			limitHit = true
-		}
+	lr, err := ra.Ladder{
+		MinN:      0,
+		MaxN:      int(hi),
+		MaxStates: opts.MaxStates,
+		Workers:   opts.Parallelism,
+		Progress:  concreteProgress(opts.Progress),
+		Metrics:   opts.metrics(ctx),
+		Trace:     span,
+	}.Run(ctx, sys)
+	if err != nil {
+		return 0, "", err
 	}
-	return 0, "", &ConfirmError{BoundTried: hi, StateCapHit: limitHit}
+	if lr.Unsafe {
+		if span != nil {
+			span.SetAttr("confirmed_env_threads", lr.N)
+		}
+		return lr.N, ra.FormatWitness(lr.Witness), nil
+	}
+	rungs := lr.Rungs
+	if lr.Err != nil {
+		rungs = rungs[:len(rungs)-1] // an interrupted rung says nothing about the cap
+	}
+	limitHit := false
+	for _, g := range rungs {
+		limitHit = limitHit || g.Capped
+	}
+	return 0, "", &ConfirmError{BoundTried: hi, StateCapHit: limitHit, Err: lr.Err}
 }
 
 // DeadlockResult classifies the sink states of a fixed instance.
@@ -869,13 +921,7 @@ func Inventory(ctx context.Context, sys *System, opts Options) (map[string][]int
 	opts = opts.normalized()
 	span := opts.beginSpan(ctx, "inventory")
 	defer span.End()
-	v, err := simplified.New(sys, simplified.Options{
-		MaxMacroStates: opts.MaxMacroStates,
-		Workers:        opts.Parallelism,
-		Progress:       fixpointProgress(opts.Progress),
-		Trace:          span,
-		Metrics:        opts.metrics(ctx),
-	})
+	v, err := simplified.New(sys, fixpointOptions(ctx, opts, span, opts.MaxMacroStates, nil))
 	if err != nil {
 		return nil, err
 	}

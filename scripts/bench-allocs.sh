@@ -20,11 +20,20 @@
 #       "Concrete explorer state representation"). Budget ~1.5x the
 #       measured steady state (~0.10M allocs/op); cloning every successor
 #       again, as the explorer once did, costs 2.28M.
+#
+#   .             BenchmarkVerifyDefault/barrier         10000
+#       Verify with the prepass on, one worker, on barrier: the bounded
+#       prepass schedule's capped replay round and bounded fixpoint (see
+#       DESIGN "Prepass schedule"). Measured ~8.0k allocs/op; replaying
+#       every rung exhaustively before the fixpoint, as the default
+#       pipeline once did, costs ~120k, so the row also catches a return
+#       to exhaustive replays.
 set -eu
 
 ROWS='
 .             BenchmarkVerifyParallel/peterson/j=8 1200000
 ./internal/ra BenchmarkConcreteReplay/barrier-n4   155000
+.             BenchmarkVerifyDefault/barrier       10000
 '
 
 FAILED=0
