@@ -271,7 +271,8 @@ const (
 // Explore runs a free-order parallel search from root. expand is called
 // exactly once per admitted state (concurrently from several goroutines)
 // and returns its successors; the engine deduplicates them through the
-// caller-supplied sharded visited map, which also stores each admitted
+// caller-supplied visited set, a lock-striped ShardedMap because every
+// worker admits states concurrently, which also stores each admitted
 // state's Val for later lookup (witness reconstruction). The caller owns
 // visited so its expansion callback can pre-filter duplicate successors
 // with HasBytes before materializing a key (emitting Succ{Dedup: true} to

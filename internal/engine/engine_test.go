@@ -140,7 +140,7 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 	// trace; the trace must be identical for every worker count.
 	run := func(workers int) ([]string, Outcome) {
 		var trace []string
-		expand := func(s [2]int, seen func([]byte) bool) [][2]int {
+		expand := func(s [2]int) [][2]int {
 			var out [][2]int
 			for d := 0; d < 2; d++ {
 				ns := s
@@ -184,7 +184,7 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 func TestLayeredHaltFirstInOrder(t *testing.T) {
 	// Two items of the same layer can halt; the lower index must win for
 	// every worker count.
-	expand := func(s int, seen func([]byte) bool) int { return s }
+	expand := func(s int) int { return s }
 	commit := func(i int, s int, e int, adm *Admitter[int]) any {
 		if depthOf(s) == 3 {
 			return fmt.Sprintf("halt-%d", i)

@@ -13,7 +13,7 @@ import (
 // states. Admission order is the (deterministic) commit order, so the next
 // layer's contents and order are identical for every worker count.
 type Admitter[S any] struct {
-	visited *ShardedMap[struct{}]
+	visited *arenaSet
 	cnt     *counters
 	max     int
 	next    []S
@@ -22,41 +22,22 @@ type Admitter[S any] struct {
 
 // Add admits the state under key iff the key is new and the state cap
 // allows it; it reports whether the state was enqueued for the next layer.
-func (a *Admitter[S]) Add(key string, s S) bool {
-	if !a.visited.TryPut(key, struct{}{}) {
-		a.cnt.dedupHits.Add(1)
-		return false
-	}
-	return a.admit(s)
-}
+func (a *Admitter[S]) Add(key string, s S) bool { return a.AddBytes([]byte(key), s) }
 
-// AddBytes is Add with a byte-slice key: the duplicate check is
-// allocation-free and the key is interned only when the state is actually
-// new. Hot commit loops where most successors are duplicates pay nothing.
+// AddBytes is Add with a byte-slice key. The visited set copies a new key
+// into its arena, so the caller may reuse the buffer, and a duplicate costs
+// no allocation.
 func (a *Admitter[S]) AddBytes(key []byte, s S) bool {
-	if !a.visited.TryPutBytes(key, struct{}{}) {
+	if !a.visited.insert(key) {
 		a.cnt.dedupHits.Add(1)
 		return false
 	}
-	return a.admit(s)
-}
-
-func (a *Admitter[S]) admit(s S) bool {
 	if !a.cnt.admit(a.max) {
 		a.capped = true
 		return false
 	}
 	a.next = append(a.next, s)
 	return true
-}
-
-// AddDedup records n duplicate successors that the expansion phase already
-// filtered out via the seen probe, keeping the engine's dedup-hit counter
-// exact (trace and stats consumers pin these totals).
-func (a *Admitter[S]) AddDedup(n int64) {
-	if n > 0 {
-		a.cnt.dedupHits.Add(n)
-	}
 }
 
 // States returns the number of states admitted so far (including the root).
@@ -82,12 +63,9 @@ const serialBelow = 32
 // first in commit order wins — making verdicts, witnesses and stats
 // reproducible across worker counts).
 //
-// expand receives a seen probe into the visited set. During a layer's
-// parallel expansion no commits run, so the visited set is frozen and a true
-// answer is stable: expansions may drop such successors early (reporting
-// them via Admitter.AddDedup from commit) instead of materializing keys and
-// states that the commit phase would discard anyway. A false answer may be
-// superseded by a sibling's commit, so commit must still dedup via Add.
+// The visited set is an arenaSet: keys live in pointer-free byte arenas
+// and only commit writes to it, so it needs no locks (Explore, whose
+// workers admit concurrently, uses a ShardedMap instead).
 //
 // The root must already be "committed" by the caller (its key is admitted
 // here, but no commit call is made for it).
@@ -95,14 +73,14 @@ func Layered[S any, E any](
 	ctx context.Context,
 	cfg Config,
 	root S, rootKey string,
-	expand func(s S, seen func([]byte) bool) E,
+	expand func(s S) E,
 	commit func(index int, s S, e E, adm *Admitter[S]) (haltTag any),
 ) Outcome {
 	workers := cfg.workers()
 	start := time.Now()
 	cnt := &counters{}
-	adm := &Admitter[S]{visited: NewShardedMap[struct{}](), cnt: cnt, max: cfg.MaxStates}
-	adm.visited.TryPut(rootKey, struct{}{})
+	adm := &Admitter[S]{visited: newArenaSet(), cnt: cnt, max: cfg.MaxStates}
+	adm.visited.insert([]byte(rootKey))
 	cnt.states.Store(1)
 	cnt.bumpPeak(1)
 
@@ -113,7 +91,7 @@ func Layered[S any, E any](
 			"wall time per BFS layer: parallel expansion plus sequential commit (ns)")
 	}
 	shardStats := func() (int64, int64) {
-		mx, used := adm.visited.ShardStats()
+		mx, used := adm.visited.shardStats()
 		return int64(mx), int64(used)
 	}
 	mon := startMonitor(cfg, cnt, workers, start, nil, shardStats)
@@ -134,7 +112,7 @@ func Layered[S any, E any](
 		out.Complete = !out.Halted && !out.Capped && out.Err == nil
 		curLayer.End()
 		if span != nil {
-			mx, used := adm.visited.ShardStats()
+			mx, used := adm.visited.shardStats()
 			span.SetAttr("states", final.States)
 			span.SetAttr("transitions", final.Transitions)
 			span.SetAttr("dedup_hits", final.DedupHits)
@@ -176,8 +154,7 @@ func Layered[S any, E any](
 		if len(layer) < serialBelow {
 			w = 1
 		}
-		seen := adm.visited.HasBytes
-		exps := parMap(ctx, w, layer, func(s S) E { return expand(s, seen) })
+		exps := parMap(ctx, w, layer, expand)
 		if err := ctxErr(ctx); err != nil {
 			return finish(nil, err)
 		}

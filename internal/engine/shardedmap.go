@@ -2,17 +2,23 @@
 // behind both the simplified-semantics fixpoint (internal/simplified) and
 // the concrete RA instance explorer (internal/ra).
 //
-// It offers two drivers over a common worker pool and a sharded,
-// lock-striped canonical-state hash set:
+// It offers two drivers over a common worker pool, each with the visited
+// set its write pattern needs:
 //
 //   - Explore: a free-order batched frontier with work sharing between N
 //     goroutines. Verdicts are deterministic (a violation is found iff one
 //     is reachable) and the first violation reported wins, after which the
-//     workers drain; witness paths may differ between runs.
+//     workers drain; witness paths may differ between runs. Workers admit
+//     states concurrently, so its visited set is a ShardedMap: a
+//     lock-striped map the caller owns and can probe (HasBytes) or read
+//     back (Get, for witness reconstruction).
 //   - Layered: a deterministic batched-BFS driver. Each frontier layer is
 //     expanded in parallel, but expansion results are committed strictly in
 //     frontier order, so verdicts, witnesses, and all order-sensitive
-//     bookkeeping are bit-identical for every worker count.
+//     bookkeeping are bit-identical for every worker count. Only the
+//     sequential commit admits states, so its visited set is an arenaSet: a
+//     lock-free, single-writer table whose keys live in pointer-free byte
+//     arenas.
 //
 // Both honor context cancellation and deadlines, cap the number of admitted
 // states, merge per-worker statistics, and report progress via an optional
@@ -33,8 +39,9 @@ const shardCount = 64
 // balance, never semantics, so hashing a bounded window keeps the per-probe
 // cost flat in the key length; the suffix is the high-entropy end of state
 // keys (env fingerprints, view sections). The generic constraint lets string
-// and []byte keys hash identically, so the byte-key fast paths land in the
-// same shard as their interned string twins.
+// and []byte keys hash identically, so a byte-key probe lands in the same
+// shard as its interned string twin, and Layered's arenaSet counts its keys
+// in the same stripes a ShardedMap would.
 func fnv1a[T ~string | ~[]byte](s T) uint32 {
 	const hashWindow = 24
 	h := uint32(2166136261)
@@ -104,37 +111,13 @@ func (sm *ShardedMap[V]) Get(key string) (V, bool) {
 // string (the map lookup by string(key) compiles to an allocation-free
 // probe). Because the map is grow-only, a true answer is stable; a false
 // answer may race with a concurrent insert and callers must re-check via
-// TryPut/TryPutBytes before admitting.
+// TryPut before admitting.
 func (sm *ShardedMap[V]) HasBytes(key []byte) bool {
 	s := &sm.shards[fnv1a(key)&(shardCount-1)]
 	s.mu.Lock()
 	_, ok := s.m[string(key)]
 	s.mu.Unlock()
 	return ok
-}
-
-// TryPutBytes is TryPut for a byte-slice key: the duplicate check is
-// allocation-free, and the key is interned into a string only when it is
-// actually inserted. The hot dedup path (most successors are already
-// visited) therefore costs no allocation at all.
-func (sm *ShardedMap[V]) TryPutBytes(key []byte, val V) bool {
-	s := &sm.shards[fnv1a(key)&(shardCount-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[string(key)]; ok {
-		return false
-	}
-	s.m[string(key)] = val
-	return true
-}
-
-// GetBytes returns the value stored under key without a string conversion.
-func (sm *ShardedMap[V]) GetBytes(key []byte) (V, bool) {
-	s := &sm.shards[fnv1a(key)&(shardCount-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[string(key)]
-	return v, ok
 }
 
 // Len returns the number of keys across all shards.

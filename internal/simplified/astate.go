@@ -166,35 +166,46 @@ func hashKeyTagged(tag byte, k string) uint64 {
 	return h
 }
 
-// AddConfig inserts a configuration; returns true if it was new.
+// AddConfig inserts a configuration; returns true if it was new. The
+// duplicate probe is allocation-free; the key is interned on insert.
 func (e *EnvSet) AddConfig(c AThread) bool {
-	_, added := e.addConfig(c)
-	return added
-}
-
-// addConfig is AddConfig returning the interned config key as well, so
-// saturation worklists can push it without re-encoding the configuration.
-// The duplicate probe is allocation-free; the key is interned on insert.
-func (e *EnvSet) addConfig(c AThread) (string, bool) {
 	enc := engine.GetKeyEnc()
 	defer engine.PutKeyEnc(enc)
-	return e.addConfigEnc(c, enc)
+	c.encodeKey(enc)
+	if e.hasConfig(enc.Bytes()) {
+		return false
+	}
+	e.insertConfig(enc.String(), c)
+	return true
 }
 
-// addConfigEnc is addConfig with a caller-supplied scratch encoder, so the
-// saturation inner loop probes without touching the encoder pool.
-func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) (string, bool) {
-	enc.Reset()
-	c.encodeKey(enc)
-	if _, ok := e.Configs[string(enc.Bytes())]; ok {
-		return "", false
-	}
-	k := enc.String()
+// hasConfig probes the configuration map with a byte key, allocation-free.
+func (e *EnvSet) hasConfig(k []byte) bool {
+	_, ok := e.Configs[string(k)]
+	return ok
+}
+
+// hasMsg probes the message map with a byte key, allocation-free.
+func (e *EnvSet) hasMsg(k []byte) bool {
+	_, ok := e.Msgs[string(k)]
+	return ok
+}
+
+// insertConfig adds a configuration under its (absent) key k.
+func (e *EnvSet) insertConfig(k string, c AThread) {
 	e.thaw()
 	e.Configs[k] = c
 	e.ConfigOrder = append(e.ConfigOrder, k)
 	e.fp ^= hashKeyTagged('c', k)
-	return k, true
+}
+
+// insertMsg adds an env message under its (absent) key k.
+func (e *EnvSet) insertMsg(k string, m AMsg, log *ReadLog) {
+	e.thaw()
+	entry := MsgEntry{Msg: m, Log: log, Key: k}
+	e.Msgs[k] = entry
+	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
+	e.fp ^= hashKeyTagged('m', k)
 }
 
 // AddMsg inserts an env message; returns true if it was new. The first
@@ -202,15 +213,10 @@ func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) (string, bool) {
 func (e *EnvSet) AddMsg(m AMsg, log *ReadLog) bool {
 	var buf [48]byte
 	b := m.appendKey(buf[:0])
-	if _, ok := e.Msgs[string(b)]; ok {
+	if e.hasMsg(b) {
 		return false
 	}
-	k := string(b)
-	e.thaw()
-	entry := MsgEntry{Msg: m, Log: log, Key: k}
-	e.Msgs[k] = entry
-	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
-	e.fp ^= hashKeyTagged('m', k)
+	e.insertMsg(string(b), m, log)
 	return true
 }
 
@@ -218,13 +224,18 @@ func (e *EnvSet) AddMsg(m AMsg, log *ReadLog) bool {
 func (e *EnvSet) Fingerprint() uint64 { return e.fp }
 
 // state is a macro-configuration of the verifier: the non-monotone dis part
-// plus the monotone env part. The memory and env set are embedded by value:
-// cloning a state is then one struct copy plus the dis slice, instead of four
-// separate heap objects (state, dis, DisMem, EnvSet) per successor.
+// plus the monotone env part. The memory is embedded by value, so cloning a
+// state is one struct copy plus the dis slice. The env set is held by
+// pointer and copy-on-write at the state level: a clone points at its
+// parent's set (envOwned false) and takes a private copy only when
+// saturation actually inserts into it (ownEnv). Most successors learn no
+// new env fact, so they never pay for an EnvSet of their own, and the
+// pointer keeps the state struct ~72 bytes smaller than an embedded set.
 type state struct {
-	dis []AThread
-	mem DisMem
-	env EnvSet
+	dis      []AThread
+	mem      DisMem
+	env      *EnvSet
+	envOwned bool
 	// disInline backs dis for the common small thread counts, so clone is a
 	// single allocation (the state itself). dis aliases disInline only within
 	// the same state value; states are never copied wholesale (always cloned
@@ -233,19 +244,37 @@ type state struct {
 }
 
 func (s *state) clone() *state {
-	ns := &state{mem: s.mem, env: s.env}
-	if len(s.dis) <= len(ns.disInline) {
-		ns.dis = ns.disInline[:len(s.dis)]
-	} else {
-		ns.dis = make([]AThread, len(s.dis))
-	}
-	copy(ns.dis, s.dis)
-	// The embedded copies borrow the parent's storage until first mutation
-	// (see DisMem.thaw / EnvSet.thaw); the explorers freeze a state once its
-	// successors exist, so the parent is never mutated afterwards.
-	ns.mem.shared = true
-	ns.env.shared = true
+	ns := &state{}
+	ns.copyFrom(s)
 	return ns
+}
+
+// copyFrom makes s a fresh clone of p in place (s is a new or recycled
+// struct). The memory borrows p's storage until its first mutation (see
+// DisMem.thaw) and the env set is p's until ownEnv; the explorers freeze a
+// state once its successors exist, so p is never mutated afterwards.
+func (s *state) copyFrom(p *state) {
+	s.mem = p.mem
+	s.mem.shared = true
+	s.env, s.envOwned = p.env, false
+	if len(p.dis) <= len(s.disInline) {
+		s.dis = s.disInline[:len(p.dis)]
+	} else if cap(s.dis) >= len(p.dis) {
+		s.dis = s.dis[:len(p.dis)]
+	} else {
+		s.dis = make([]AThread, len(p.dis))
+	}
+	copy(s.dis, p.dis)
+}
+
+// ownEnv returns the state's env set for mutation, first replacing a
+// borrowed set by a copy-on-write clone of it.
+func (s *state) ownEnv() *EnvSet {
+	if !s.envOwned {
+		s.env = s.env.Clone()
+		s.envOwned = true
+	}
+	return s.env
 }
 
 // memChanged reports whether this clone's dis memory differs from its

@@ -67,10 +67,10 @@ func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 					}
 					view := cfg.View.Clone()
 					view[x] = Int(t)
-					msg := AMsg{Var: x, TS: Int(t), Val: d, View: view}
+					msg := &AMsg{Var: x, TS: Int(t), Val: d, View: view}
 					msg.key = msg.Key()
-					ex.recordDisMsg(msg, i, cfg.Log)
-					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log}).mem.Put(msg)
+					ex.recordDisMsg(msg.key, i, cfg.Log)
+					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log}).mem.put(msg)
 				}
 
 			case lang.OpCASOp:
@@ -100,10 +100,10 @@ func (ex *exec) disCAS(st *state, i int, cfg AThread, e lang.Edge, out []*state)
 	expect := v.norm(e.Op.E.Eval(cfg.Regs))
 	newVal := v.norm(e.Op.E2.Eval(cfg.Regs))
 
-	emit := func(th AThread, msg AMsg) {
+	emit := func(th AThread, msg *AMsg) {
 		ns := ex.cloneState(st)
 		ns.dis[i] = th
-		ns.mem.Put(msg)
+		ns.mem.put(msg)
 		ex.stats.DisTransitions++
 		out = append(out, ns)
 	}
@@ -119,10 +119,10 @@ func (ex *exec) disCAS(st *state, i int, cfg AThread, e lang.Edge, out []*state)
 		}
 		view := cfg.View.Join(m.View)
 		view[x] = Int(u + 1)
-		msg := AMsg{Var: x, TS: Int(u + 1), Val: newVal, View: view}
+		msg := &AMsg{Var: x, TS: Int(u + 1), Val: newVal, View: view}
 		msg.key = msg.Key()
 		log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-		ex.recordDisMsg(msg, i, log)
+		ex.recordDisMsg(msg.key, i, log)
 		emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg)
 	}
 
@@ -142,10 +142,10 @@ func (ex *exec) disCAS(st *state, i int, cfg AThread, e lang.Edge, out []*state)
 			}
 			view := cfg.View.Join(m.View)
 			view[x] = Int(t)
-			msg := AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
+			msg := &AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
 			msg.key = msg.Key()
 			log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-			ex.recordDisMsg(msg, i, log)
+			ex.recordDisMsg(msg.key, i, log)
 			emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg)
 		}
 	}

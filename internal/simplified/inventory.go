@@ -51,9 +51,10 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 	global.saturate(init)
 	record(init)
 
-	expand := func(st *state, seen func([]byte) bool) *expOut {
+	expand := func(st *state) *expOut {
 		ex := cache.get(v, global.msgLogs)
 		o := outs.get()
+		ex.takeFree(o)
 		succs, _ := ex.disSuccessors(st)
 		enc := &ex.enc
 		suffix := ex.sufBuf[:0] // parent's mem+env key suffix, filled lazily
@@ -62,8 +63,6 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 			if memChanged {
 				ex.saturate(ns)
 			}
-			// Byte-probe the frozen visited set: successors already admitted
-			// in an earlier layer are dropped before their key is interned.
 			enc.Reset()
 			ns.appendKeyDis(enc)
 			if memChanged {
@@ -77,11 +76,6 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 				}
 				enc.Raw(suffix)
 			}
-			if seen(enc.Bytes()) {
-				o.preDedup++
-				ex.freeState(ns)
-				continue
-			}
 			o.pushSucc(ns, enc.Bytes())
 		}
 		ex.sufBuf = suffix[:0]
@@ -92,14 +86,9 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 		global.recordSizes(st)
 		global.mergeOut(o)
 		adm.AddTransitions(int64(o.stats.DisTransitions))
-		adm.AddDedup(o.preDedup)
-		lo := int32(0)
-		for j, ns := range o.succs {
-			hi := o.keyEnds[j]
-			if adm.AddBytes(o.keyBuf[lo:hi], ns) {
-				record(ns)
-			}
-			lo = hi
+		o.admit(adm, record)
+		if st != init {
+			o.free = append(o.free, scrubState(st))
 		}
 		outs.put(o)
 		return nil

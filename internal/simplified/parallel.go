@@ -16,8 +16,8 @@ import (
 // merged in commit order.
 //
 // Successor keys are carried as one concatenated byte arena (keyBuf sliced
-// by keyEnds) rather than interned strings: commit admits via AddBytes, so a
-// key is converted to a string only when its state is genuinely new.
+// by keyEnds) rather than interned strings: commit admits via AddBytes,
+// which copies a genuinely new key into the engine's visited-set arena.
 //
 // The engine buffers a whole layer's outputs until the sequential commit
 // phase, so an expOut holds only what commit genuinely needs; the heavy
@@ -33,10 +33,13 @@ type expOut struct {
 	msgOrder  []string
 	viol      *Violation
 	violState *state
-	// preDedup counts successors dropped during expansion because the seen
-	// probe proved them already visited (reported via Admitter.AddDedup so
-	// engine dedup totals stay identical to the unfiltered path).
-	preDedup int64
+	// free carries scrubbed state structs from commit back to expansion:
+	// commit parks here every successor it did not admit and the parent it
+	// has finished with, and the next expansion handed this output moves
+	// them onto its exec's freelist (takeFree). Commit is sequential and
+	// each output has one expansion at a time, so the handover needs no
+	// lock of its own.
+	free []*state
 }
 
 // pushSucc appends a successor and its key bytes to the expansion output.
@@ -44,6 +47,34 @@ func (o *expOut) pushSucc(ns *state, key []byte) {
 	o.succs = append(o.succs, ns)
 	o.keyBuf = append(o.keyBuf, key...)
 	o.keyEnds = append(o.keyEnds, int32(len(o.keyBuf)))
+}
+
+// admit offers every successor to the visited set in order, calls
+// onAdmit (if non-nil) on each one admitted, and parks each one not
+// admitted (a duplicate, or over the state cap) on o.free.
+func (o *expOut) admit(adm *engine.Admitter[*state], onAdmit func(*state)) {
+	lo := int32(0)
+	for j, ns := range o.succs {
+		hi := o.keyEnds[j]
+		if !adm.AddBytes(o.keyBuf[lo:hi], ns) {
+			o.free = append(o.free, scrubState(ns))
+		} else if onAdmit != nil {
+			onAdmit(ns)
+		}
+		lo = hi
+	}
+}
+
+// takeFree moves the recycled state structs an output carries onto the
+// exec's freelist (up to its bound; the rest are left to the collector).
+func (ex *exec) takeFree(o *expOut) {
+	for i, ns := range o.free {
+		if len(ex.freeStates) < maxFreeStates {
+			ex.freeStates = append(ex.freeStates, ns)
+		}
+		o.free[i] = nil
+	}
+	o.free = o.free[:0]
 }
 
 // outCache recycles expansion outputs within one run. Commit returns each
@@ -85,7 +116,7 @@ func (c *outCache) put(o *expOut) {
 	clear(o.msgOrder[:cap(o.msgOrder)])
 	o.msgOrder = o.msgOrder[:0]
 	o.viol, o.violState = nil, nil
-	o.preDedup = 0
+	// o.free is kept: it is the payload the next expansion picks up.
 	c.mu.Lock()
 	c.free = append(c.free, o)
 	c.mu.Unlock()
@@ -180,7 +211,7 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 
 	var unsafeRes *Result
 
-	expand := func(st *state, seen func([]byte) bool) *expOut {
+	expand := func(st *state) *expOut {
 		// Private exec: reads the frozen global provenance, writes locally.
 		// checkGoalDis never needs a same-layer sibling's record — any dis
 		// message in st's memory was stored either on st's own path (already
@@ -190,6 +221,7 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 		// in-flight expansions, not the layer size.
 		ex := cache.get(v, global.msgLogs)
 		o := outs.get()
+		ex.takeFree(o)
 		succs, viol := ex.disSuccessors(st)
 		if viol != nil {
 			o.viol, o.violState = viol, st
@@ -217,11 +249,6 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 					break
 				}
 			}
-			// Byte-probe the visited set (frozen for the whole layer) after
-			// the goal checks: already-admitted successors are dropped here
-			// without interning a key, and commit reports them via AddDedup.
-			// A seen successor can never be the first violation: it was
-			// admitted (and goal-checked) in an earlier layer.
 			enc.Reset()
 			ns.appendKeyDis(enc)
 			if memChanged {
@@ -236,11 +263,6 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 				}
 				enc.Raw(suffix)
 			}
-			if seen(enc.Bytes()) {
-				o.preDedup++
-				ex.freeState(ns)
-				continue
-			}
 			o.pushSucc(ns, enc.Bytes())
 		}
 		ex.sufBuf = suffix[:0]
@@ -252,19 +274,17 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 		global.recordSizes(st)
 		global.mergeOut(o)
 		adm.AddTransitions(int64(o.stats.DisTransitions))
-		adm.AddDedup(o.preDedup)
 		gCfg.Max(int64(global.stats.EnvConfigs))
 		gMsgs.Max(int64(global.stats.EnvMsgs))
 		// Successors discovered before a violation are admitted first: the
 		// sequential loop admits each saturated successor before examining
 		// the next one, so stats stay bit-identical on UNSAFE runs too.
-		lo := int32(0)
-		for j, ns := range o.succs {
-			hi := o.keyEnds[j]
-			adm.AddBytes(o.keyBuf[lo:hi], ns)
-			lo = hi
-		}
+		o.admit(adm, nil)
 		viol, violState := o.viol, o.violState
+		if viol == nil && st != init {
+			// Fully expanded and not needed by a violation: recycle.
+			o.free = append(o.free, scrubState(st))
+		}
 		outs.put(o)
 		if viol != nil {
 			// Re-resolve provenance against the merged map so an earlier

@@ -6,9 +6,10 @@ import (
 
 // loadTarget is a readable message together with the view the reader adopts
 // and the message's canonical key (cached for env messages, computed for
-// dis messages — the callers thread it into read logs).
+// dis messages — the callers thread it into read logs). msg points at an
+// immutable stored message (a shared dis message or an env set entry).
 type loadTarget struct {
-	msg  AMsg
+	msg  *AMsg
 	view AView
 	key  string
 }
@@ -33,10 +34,12 @@ func (v *Verifier) loadTargets(st *state, vw AView, x lang.VarID, buf []loadTarg
 			out = append(out, loadTarget{msg: m, view: vw.Join(m.View), key: m.Key()})
 		}
 	}
-	for _, me := range st.env.MsgsByVar[x] {
+	envMsgs := st.env.MsgsByVar[x]
+	for i := range envMsgs {
+		me := &envMsgs[i]
 		j := vw.Join(me.Msg.View)
 		j[x] = Plus(j[x].Floor())
-		out = append(out, loadTarget{msg: me.Msg, view: j, key: me.Key})
+		out = append(out, loadTarget{msg: &me.Msg, view: j, key: me.Key})
 	}
 	return out
 }
@@ -61,16 +64,37 @@ func (ex *exec) satPushAll(st *state) {
 }
 
 // satAddConfig inserts a derived configuration and enqueues it if new. The
-// key probe uses the exec's embedded encoder scratch.
+// configuration is encoded once, into the exec's scratch encoder: the probe
+// reads the bytes, and only a real insert interns them and makes the state
+// own its env set.
 func (ex *exec) satAddConfig(st *state, c AThread) {
-	if k, added := st.env.addConfigEnc(c, &ex.enc); added {
-		ex.satPush(k)
+	enc := &ex.enc
+	enc.Reset()
+	c.encodeKey(enc)
+	if st.env.hasConfig(enc.Bytes()) {
+		return
 	}
+	k := enc.String()
+	st.ownEnv().insertConfig(k, c)
+	ex.satPush(k)
 }
 
-// saturate closes the env part of st under env transitions, mutating
-// st.env. It returns a non-nil Violation when an env thread can reach an
-// `assert false` or generate the goal message.
+// satAddMsg inserts an env message, first derivation wins, and reports
+// whether it was new; like satAddConfig it encodes once and takes
+// ownership of the env set only on a real insert.
+func (ex *exec) satAddMsg(st *state, m AMsg, log *ReadLog) bool {
+	var buf [48]byte
+	b := m.appendKey(buf[:0])
+	if st.env.hasMsg(b) {
+		return false
+	}
+	st.ownEnv().insertMsg(string(b), m, log)
+	return true
+}
+
+// saturate closes the env part of st under env transitions, replacing or
+// mutating st.env. It returns a non-nil Violation when an env thread can
+// reach an `assert false` or generate the goal message.
 func (ex *exec) saturate(st *state) *Violation {
 	v := ex.v
 	if v.envCFG == nil {
@@ -140,7 +164,7 @@ func (ex *exec) saturate(st *state) *Violation {
 					mc := msg
 					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}
 				}
-				if st.env.AddMsg(msg, cfg.Log) {
+				if ex.satAddMsg(st, msg, cfg.Log) {
 					ex.satPushAll(st)
 				}
 				ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log})

@@ -169,7 +169,7 @@ func (v *Verifier) disSuccessorsTraced(st *state) ([]tracedSucc, *SkeletonStep) 
 						TS: -1, ReadDisTS: -1,
 					}
 					if lt.msg.Env {
-						m := lt.msg
+						m := *lt.msg
 						step.ReadEnv = &m
 					} else {
 						step.ReadDisTS = lt.msg.TS.Floor()

@@ -204,8 +204,9 @@ func (v *Verifier) norm(val lang.Val) lang.Val {
 func (v *Verifier) initState() *state {
 	nv := len(v.sys.Vars)
 	st := &state{
-		mem: *NewDisMem(nv, v.sys.Init),
-		env: *NewEnvSet(nv),
+		mem:      *NewDisMem(nv, v.sys.Init),
+		env:      NewEnvSet(nv),
+		envOwned: true,
 	}
 	for _, g := range v.disCFG {
 		st.dis = append(st.dis, AThread{
@@ -259,11 +260,11 @@ type exec struct {
 	// paths off the shared encoder pool.
 	enc  engine.KeyEnc
 	enc2 engine.KeyEnc
-	// freeStates recycles the state structs of dedup-dropped successors:
-	// most clones hit the visited set and die immediately, so reusing their
-	// ~300-byte structs removes the dominant allocation of the exploration.
-	// Parked structs are scrubbed of pointers (see freeState) so the list
-	// never extends a dead macro-state's lifetime.
+	// freeStates recycles macro-state structs for cloneState: duplicate
+	// successors and fully expanded parents, handed back by the parallel
+	// drivers' commit (see expOut.free), and the sequential engine's
+	// duplicates. Parked structs are scrubbed of pointers (see scrubState)
+	// so the list never extends a dead macro-state's lifetime.
 	freeStates []*state
 }
 
@@ -355,31 +356,27 @@ func (ex *exec) cloneState(s *state) *state {
 	ns := ex.freeStates[n-1]
 	ex.freeStates[n-1] = nil
 	ex.freeStates = ex.freeStates[:n-1]
-	ns.mem = s.mem
-	ns.env = s.env
-	if len(s.dis) <= len(ns.disInline) {
-		ns.dis = ns.disInline[:len(s.dis)]
-	} else if cap(ns.dis) >= len(s.dis) {
-		ns.dis = ns.dis[:len(s.dis)]
-	} else {
-		ns.dis = make([]AThread, len(s.dis))
-	}
-	copy(ns.dis, s.dis)
-	ns.mem.shared = true
-	ns.env.shared = true
+	ns.copyFrom(s)
 	return ns
 }
 
-// freeState parks a dedup-dropped successor's struct for reuse. All pointer
-// fields are scrubbed first: a parked struct may idle across GC cycles, and
-// a stale reference would keep the dropped state's thawed memory or env
-// storage alive.
+// maxFreeStates bounds an exec's state freelist.
+const maxFreeStates = 256
+
+// freeState parks a dead state's struct for reuse (see scrubState).
 func (ex *exec) freeState(ns *state) {
-	if len(ex.freeStates) >= 256 {
-		return
+	if len(ex.freeStates) < maxFreeStates {
+		ex.freeStates = append(ex.freeStates, scrubState(ns))
 	}
+}
+
+// scrubState clears every pointer of a state no longer referenced by the
+// search, keeping only the capacity of a heap-backed dis slice: a parked
+// struct may idle across GC cycles, and a stale reference would keep the
+// dead state's memory, env set or read logs alive.
+func scrubState(ns *state) *state {
 	ns.mem = DisMem{}
-	ns.env = EnvSet{}
+	ns.env, ns.envOwned = nil, false
 	heap := ns.dis
 	ns.dis = nil
 	ns.disInline = [2]AThread{}
@@ -387,7 +384,7 @@ func (ex *exec) freeState(ns *state) {
 		clear(heap)
 		ns.dis = heap[:0]
 	}
-	ex.freeStates = append(ex.freeStates, ns)
+	return ns
 }
 
 // lookupGen resolves the provenance of a dis message key.
@@ -407,10 +404,9 @@ func (ex *exec) hasGen(k string) bool {
 	return ok
 }
 
-// recordDisMsg stores the provenance of a dis message (first derivation
-// wins, matching genthread of Definition 1).
-func (ex *exec) recordDisMsg(m AMsg, disIndex int, log *ReadLog) {
-	k := m.Key()
+// recordDisMsg stores the provenance of the dis message with key k (first
+// derivation wins, matching genthread of Definition 1).
+func (ex *exec) recordDisMsg(k string, disIndex int, log *ReadLog) {
 	if ex.hasGen(k) {
 		return
 	}
@@ -449,7 +445,7 @@ func (ex *exec) recordSizes(st *state) {
 // unsafeResult finalizes an UNSAFE verdict found at state st.
 func (ex *exec) unsafeResult(viol *Violation, st *state) Result {
 	ex.recordSizes(st)
-	viol.Env = &st.env
+	viol.Env = st.env
 	viol.Mem = &st.mem
 	viol.DisMsgLogs = ex.msgLogs
 	for _, d := range st.dis {
